@@ -40,11 +40,12 @@ smoke:
 	./scripts/smoke.sh
 
 # bench runs the benchmark suite (root macro-benchmarks, the
-# internal/store probe-reply micro-benchmarks, and the internal/serve
-# sustained-throughput serving benchmarks — qps/p50/p99 against a real
-# loopback ring) and converts the text output into machine-readable
-# JSON via cmd/benchjson, so a run can be committed as a
-# perf-trajectory point:
+# internal/store probe-reply micro-benchmarks, the internal/netdht
+# client counting pass on 1-, 5- and 16-node loopback rings, and the
+# internal/serve sustained-throughput serving benchmarks — qps/p50/p99
+# against a real loopback ring) and converts the text output into
+# machine-readable JSON via cmd/benchjson, so a run can be committed as
+# a perf-trajectory point:
 #
 #   make bench BENCHTIME=2s BENCHJSON=BENCH_6.json
 BENCHTIME ?= 1x
@@ -52,6 +53,6 @@ BENCHTXT  ?= bench.out
 BENCHJSON ?= bench.json
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/store ./internal/serve | tee $(BENCHTXT)
+	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/store ./internal/netdht ./internal/serve | tee $(BENCHTXT)
 	$(GO) run ./cmd/benchjson < $(BENCHTXT) > $(BENCHJSON)
 	@echo "wrote $(BENCHJSON)"

@@ -97,14 +97,21 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // server, so it runs in a separate OS process (cmd/dhsnode's insert
 // and count subcommands). It is the networked counterpart of core.DHS's
 // data plane with two deliberate simplifications, both documented in
-// DESIGN.md §14: retries re-enter the interval at a fresh random target
-// instead of walking successors (the walk needs successor-list reads
-// the RPC surface does not expose), and the §3.5 bit-shift variant is
-// not offered.
+// DESIGN.md §14: each of an interval's attempts probes the owner of a
+// fresh uniform target instead of walking successors from the first
+// (independent draws can run concurrently, and a successor walk would
+// add a sequential neighbors exchange per step), and the §3.5
+// bit-shift variant is not offered.
+//
+// Count keeps one owner cache per Client, shared by every concurrent
+// call: the arcs owners report in find-successor replies, so an
+// attempt whose target falls in a known arc probes that owner directly
+// instead of routing first (see ownerCache).
 type Client struct {
 	cfg    ClientConfig
 	maxBit uint
 	peers  *peerPool
+	owners ownerCache
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -161,26 +168,23 @@ func (c *Client) randomTarget(bit uint) uint64 {
 }
 
 // findOwner routes key through the entry node and returns the owner's
-// identity. The entry makes the first routing decision itself, so the
-// client never needs the ring topology.
-func (c *Client) findOwner(key uint64) (nodeRef, error) {
+// reply: its identity and, when it knows it, its arc. The entry makes
+// the first routing decision itself, so the client never needs the
+// ring topology.
+func (c *Client) findOwner(key uint64) (findSuccRespMsg, error) {
 	raw, err := c.peers.exchangeRetry(c.cfg.Entry,
 		encodeFindSucc(findSuccMsg{key: key}), c.cfg.Retries, c.cfg.Backoff)
 	if err != nil {
-		return nodeRef{}, err
+		return findSuccRespMsg{}, err
 	}
 	if len(raw) >= 2 && raw[1] == tagErr {
 		code, _, _, derr := decodeErr(raw)
 		if derr != nil {
-			return nodeRef{}, derr
+			return findSuccRespMsg{}, derr
 		}
-		return nodeRef{}, errnoErr(code)
+		return findSuccRespMsg{}, errnoErr(code)
 	}
-	resp, err := decodeFindSuccResp(raw)
-	if err != nil {
-		return nodeRef{}, err
-	}
-	return resp.owner, nil
+	return decodeFindSuccResp(raw)
 }
 
 // ack sends req to addr with retries and verifies the reply is an ack.
@@ -207,10 +211,11 @@ func (c *Client) ack(addr string, req []byte) error {
 // bit's interval, and store the tuple there (§3.4 over the wire).
 func (c *Client) Insert(metric, itemID uint64) error {
 	vector, bit := c.split(itemID)
-	owner, err := c.findOwner(c.randomTarget(bit))
+	resp, err := c.findOwner(c.randomTarget(bit))
 	if err != nil {
 		return fmt.Errorf("netdht: insert lookup: %w", err)
 	}
+	owner := resp.owner
 	req := wire.EncodeInsert(wire.Insert{
 		Metric: metric,
 		Vector: uint16(vector),
@@ -250,6 +255,47 @@ func (r *CountResult) finish() {
 	r.Degraded = r.ProbesFailed > 0 || r.IntervalsSkipped > 0
 }
 
+// probe asks the node at addr for metric's vector mask at bit. A keyed
+// probe (hasKey) carries the target key, and the node refuses it when
+// the key lies outside its arc; it is sent once, with no retries,
+// because its caller falls back to routing on any failure.
+func (c *Client) probe(addr string, bit uint, metric, key uint64, hasKey bool) ([]byte, error) {
+	req, err := wire.EncodeProbeReq(wire.ProbeReq{
+		Bit:     uint8(bit),
+		NumVecs: uint16(c.cfg.M),
+		Metrics: []uint64{metric},
+		Key:     key,
+		HasKey:  hasKey,
+	})
+	if err != nil {
+		return nil, err // static geometry can't overflow; defensive
+	}
+	var raw []byte
+	if hasKey {
+		raw, err = c.peers.exchange(addr, req)
+	} else {
+		raw, err = c.peers.exchangeRetry(addr, req, c.cfg.Retries, c.cfg.Backoff)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) >= 2 && raw[1] == tagErr {
+		code, _, _, derr := decodeErr(raw)
+		if derr != nil {
+			return nil, derr
+		}
+		return nil, errnoErr(code)
+	}
+	resp, err := wire.DecodeProbeResp(raw)
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.VecMasks) != 1 || int(resp.NumVecs) != c.cfg.M {
+		return nil, fmt.Errorf("%w: probe reply shape", wire.ErrBadMessage)
+	}
+	return resp.VecMasks[0], nil
+}
+
 // Count runs the Algorithm-1 counting scan for metric over RPC:
 // descending through the bit intervals for the LogLog estimator family
 // (first set bit per vector is its maximum), ascending for PCSA (first
@@ -261,6 +307,13 @@ func (r *CountResult) finish() {
 // by many goroutines sharing one Client — each call carries its own
 // scan state, and the peer pool multiplexes exchanges over PeerConns
 // sockets per peer.
+//
+// An attempt whose target lies in a cached arc skips the lookup: it
+// claims the arc's owner as visited and probes it directly with the
+// target as key. If the owner refuses (the arc is stale) or cannot be
+// reached, the attempt releases the claim, drops the arc and routes
+// the same target as an uncached attempt does, so a stale arc costs one
+// extra exchange but no budget and no probe failure.
 func (c *Client) Count(metric uint64) (CountResult, error) {
 	m := c.cfg.M
 	R := make([]int, m)
@@ -280,50 +333,64 @@ func (c *Client) Count(metric uint64) (CountResult, error) {
 	probeInterval := func(bit uint, onMask func(mask []byte)) bool {
 		visited := make(map[uint64]bool)
 		anyOK := false
+		// claim marks owner visited in this interval; false means an
+		// earlier attempt already took it, and this one's budget is
+		// spent without an RPC.
+		claim := func(owner uint64) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			if visited[owner] {
+				return false
+			}
+			visited[owner] = true
+			return true
+		}
+		deliver := func(mask []byte) {
+			mu.Lock()
+			anyOK = true
+			onMask(mask)
+			mu.Unlock()
+		}
+		fail := func() {
+			mu.Lock()
+			res.ProbesFailed++
+			mu.Unlock()
+		}
 		attempt := func() {
 			mu.Lock()
 			res.ProbesAttempted++
 			mu.Unlock()
-			owner, err := c.findOwner(c.randomTarget(bit))
-			if err != nil {
+			target := c.randomTarget(bit)
+			if owner, ok := c.owners.lookup(target); ok {
+				if !claim(owner.id) {
+					return
+				}
+				if mask, err := c.probe(owner.addr, bit, metric, target, true); err == nil {
+					deliver(mask)
+					return
+				}
 				mu.Lock()
-				res.ProbesFailed++
+				delete(visited, owner.id)
 				mu.Unlock()
-				return
+				c.owners.drop(owner.id)
 			}
-			mu.Lock()
-			if visited[owner.id] {
-				mu.Unlock()
-				return
-			}
-			visited[owner.id] = true
-			mu.Unlock()
-			req, err := wire.EncodeProbeReq(wire.ProbeReq{
-				Bit:     uint8(bit),
-				NumVecs: uint16(m),
-				Metrics: []uint64{metric},
-			})
+			resp, err := c.findOwner(target)
 			if err != nil {
-				return // static geometry can't overflow; defensive
+				fail()
+				return
 			}
-			raw, err := c.peers.exchangeRetry(owner.addr, req, c.cfg.Retries, c.cfg.Backoff)
+			if resp.hasPred {
+				c.owners.learn(resp.pred, resp.owner)
+			}
+			if !claim(resp.owner.id) {
+				return
+			}
+			mask, err := c.probe(resp.owner.addr, bit, metric, 0, false)
 			if err != nil {
-				mu.Lock()
-				res.ProbesFailed++
-				mu.Unlock()
+				fail()
 				return
 			}
-			resp, err := wire.DecodeProbeResp(raw)
-			if err != nil || len(resp.VecMasks) != 1 {
-				mu.Lock()
-				res.ProbesFailed++
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			anyOK = true
-			onMask(resp.VecMasks[0])
-			mu.Unlock()
+			deliver(mask)
 		}
 		par := c.cfg.ProbeParallel
 		if par > c.cfg.Lim {

@@ -163,7 +163,9 @@ func TestConcurrentCountSharedClient(t *testing.T) {
 
 // TestConcurrentCountSurvivesCrash crashes a ring member while many
 // goroutines count through one shared client: every pass must return
-// (degraded at worst), never deadlock or race.
+// (degraded at worst), never deadlock or race, and the shared owner
+// cache keeps its invariants throughout — at most one arc per owner and
+// no two arcs overlapping.
 func TestConcurrentCountSurvivesCrash(t *testing.T) {
 	env := sim.NewEnv(11)
 	cl := newTestCluster(t, env, 4)
@@ -197,10 +199,31 @@ func TestConcurrentCountSurvivesCrash(t *testing.T) {
 			}
 		}()
 	}
+	done := make(chan struct{})
+	checked := make(chan struct{})
+	go func() {
+		defer close(checked)
+		for {
+			if err := checkOwnerCache(&c.owners); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
 	// Crash a non-entry member mid-run.
 	time.Sleep(10 * time.Millisecond)
 	cl.Crash(servers[2])
 	wg.Wait()
+	close(done)
+	<-checked
+	if err := checkOwnerCache(&c.owners); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestCountResultJSONShape pins the machine-readable encoding that

@@ -51,6 +51,9 @@ const (
 	errnoTimeout  = 3
 	errnoLost     = 4
 	errnoBad      = 5
+	// errnoNotOwner refuses a keyed probe whose key lies outside the
+	// responder's arc: the querier's cached owner is stale.
+	errnoNotOwner = 6
 )
 
 func errnoOf(err error) byte {
@@ -143,19 +146,30 @@ func decodeFindSucc(buf []byte) (findSuccMsg, error) {
 
 // findSuccRespMsg is the terminal routing reply, relayed verbatim back
 // along the forwarding chain: the believed owner and the total cost.
+// When hasPred is set, pred is the owner's predecessor id, so the owner
+// answers for the arc (pred, owner.id]; pred == owner.id means it
+// answers for the whole ring (a ring of one). It travels as an optional
+// 8-byte suffix, absent when the owner does not know its predecessor
+// and in replies from nodes that predate the field.
 type findSuccRespMsg struct {
-	hops  uint16
-	stale uint16
-	owner nodeRef
+	hops    uint16
+	stale   uint16
+	owner   nodeRef
+	pred    uint64
+	hasPred bool
 }
 
 func encodeFindSuccResp(m findSuccRespMsg) []byte {
-	buf := make([]byte, 6, 16+len(m.owner.addr))
+	buf := make([]byte, 6, 24+len(m.owner.addr))
 	buf[0] = wire.Version
 	buf[1] = tagFindSuccResp
 	binary.BigEndian.PutUint16(buf[2:], m.hops)
 	binary.BigEndian.PutUint16(buf[4:], m.stale)
-	return appendRef(buf, m.owner)
+	buf = appendRef(buf, m.owner)
+	if m.hasPred {
+		buf = binary.BigEndian.AppendUint64(buf, m.pred)
+	}
+	return buf
 }
 
 func decodeFindSuccResp(buf []byte) (findSuccRespMsg, error) {
@@ -169,9 +183,15 @@ func decodeFindSuccResp(buf []byte) (findSuccRespMsg, error) {
 		hops:  binary.BigEndian.Uint16(buf[2:]),
 		stale: binary.BigEndian.Uint16(buf[4:]),
 	}
-	var err error
-	m.owner, _, err = decodeRef(buf[6:])
-	return m, err
+	owner, rest, err := decodeRef(buf[6:])
+	if err != nil {
+		return m, err
+	}
+	m.owner = owner
+	if len(rest) >= 8 {
+		m.pred, m.hasPred = binary.BigEndian.Uint64(rest), true
+	}
+	return m, nil
 }
 
 // neighborsRespMsg is a node's protocol-state answer: who it believes

@@ -46,6 +46,17 @@ import (
 // ahead of a. dist(a,a) = 0; unsigned wraparound handles the rest.
 func dist(a, b uint64) uint64 { return b - a }
 
+// arcContains reports whether key lies in the ring arc (lo, hi]. The
+// degenerate arc lo == hi is the whole ring: the arc of a node that is
+// its own predecessor.
+func arcContains(lo, hi, key uint64) bool {
+	if lo == hi {
+		return true
+	}
+	d := dist(lo, key)
+	return d > 0 && d <= dist(lo, hi)
+}
+
 // maxHops bounds a single routed lookup, including hops wasted on
 // unreachable peers — the same backstop the simulated rings use.
 const maxHops = 256

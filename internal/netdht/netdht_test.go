@@ -106,10 +106,18 @@ func TestControlMessageRoundTrips(t *testing.T) {
 		t.Fatalf("findSucc round trip: %+v, %v", gotFS, err)
 	}
 
-	fr := findSuccRespMsg{hops: 3, stale: 1, owner: nodeRef{id: 42, addr: "127.0.0.1:9999"}}
-	gotFR, err := decodeFindSuccResp(encodeFindSuccResp(fr))
-	if err != nil || gotFR != fr {
-		t.Fatalf("findSuccResp round trip: %+v, %v", gotFR, err)
+	// The owner's predecessor is an optional suffix: replies without it
+	// (the old layout) and with it, including a predecessor id of 0,
+	// round-trip as themselves.
+	for _, fr := range []findSuccRespMsg{
+		{hops: 3, stale: 1, owner: nodeRef{id: 42, addr: "127.0.0.1:9999"}},
+		{hops: 3, stale: 1, owner: nodeRef{id: 42, addr: "127.0.0.1:9999"}, pred: 7, hasPred: true},
+		{owner: nodeRef{id: 42, addr: "a:1"}, pred: 0, hasPred: true},
+	} {
+		gotFR, err := decodeFindSuccResp(encodeFindSuccResp(fr))
+		if err != nil || gotFR != fr {
+			t.Fatalf("findSuccResp round trip of %+v: %+v, %v", fr, gotFR, err)
+		}
 	}
 
 	nb := neighborsRespMsg{

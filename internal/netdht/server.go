@@ -335,7 +335,7 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 		s.counters.AddRouted()
 	}
 	if m.flags&flagDeliver != 0 {
-		return encodeFindSuccResp(findSuccRespMsg{hops: m.hops, stale: m.stale, owner: s.ref()})
+		return encodeFindSuccResp(s.selfResp(int(m.hops), int(m.stale)))
 	}
 	resp, errno := s.routeLocal(m.key, int(m.hops), int(m.stale))
 	if errno != 0 {
@@ -344,13 +344,46 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 	return encodeFindSuccResp(resp)
 }
 
+// arc returns the lower bound lo of the ring arc (lo, self] this node
+// answers for, read from its protocol state: its predecessor's id, or
+// its own id — the whole ring — while its successor list is empty (a
+// ring of one). ok is false while the predecessor is unknown.
+func (s *Server) arc() (lo uint64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case len(s.succ) == 0:
+		return s.id, true
+	case s.pred.valid() && s.pred.id != s.id:
+		return s.pred.id, true
+	}
+	return 0, false
+}
+
+// owns reports whether this node owns key by its local state: the key
+// is its own identifier or lies in its known arc. It is the node's one
+// ownership rule — routing answers such a key here instead of
+// forwarding it, and a keyed probe for any other key is refused — so
+// routing and probe validation cannot disagree about where the node's
+// range ends.
+func (s *Server) owns(key uint64) bool {
+	lo, ok := s.arc()
+	return key == s.id || ok && arcContains(lo, s.id, key)
+}
+
+// selfResp is the find-successor reply naming this node as the owner,
+// carrying its arc when the node knows it.
+func (s *Server) selfResp(hops, stale int) findSuccRespMsg {
+	lo, ok := s.arc()
+	return findSuccRespMsg{hops: uint16(hops), stale: uint16(stale), owner: s.ref(), pred: lo, hasPred: ok}
+}
+
 // routeLocal makes one node's routing decision for key, with hops and
 // stale accumulated so far, and drives the rest of the route over the
 // network. The decision procedure mirrors chord's routeLocked with
 // liveness discovered by contact instead of shared memory:
 //
-//   - if this node owns the key (identifier match, known (pred, self]
-//     range, or an empty successor list — a ring of one), answer self;
+//   - if this node owns the key (see owns), answer self;
 //   - if the key lies within the successor list, deliver to the first
 //     reachable entry that covers it; every unreachable entry ahead of
 //     it costs the discovery timeout — one hop, one stale;
@@ -362,18 +395,16 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 // so a lookup's hop count equals the Routed increments it caused —
 // the dhttest metering invariant — without any shared counter.
 func (s *Server) routeLocal(key uint64, hops, stale int) (findSuccRespMsg, byte) {
-	pred, succ, fingers := s.snapshotState()
-	self := findSuccRespMsg{hops: uint16(hops), stale: uint16(stale), owner: s.ref()}
-
+	if s.owns(key) {
+		return s.selfResp(hops, stale), 0
+	}
+	_, succ, fingers := s.snapshotState()
+	if len(succ) == 0 {
+		// Stabilization dropped every successor after the ownership
+		// check: the node is a ring of one again and owns every key.
+		return s.selfResp(hops, stale), 0
+	}
 	dKey := dist(s.id, key)
-	if dKey == 0 || len(succ) == 0 {
-		return self, 0
-	}
-	if pred.valid() && pred.id != s.id {
-		if d := dist(pred.id, key); d > 0 && d <= dist(pred.id, s.id) {
-			return self, 0
-		}
-	}
 
 	// Successor distances increase along the list, so the entries that
 	// cover the key form a suffix; the first of them is the believed
@@ -516,6 +547,9 @@ func (s *Server) handleProbeReq(req []byte) []byte {
 	}
 	if !s.alive.Load() {
 		return encodeErr(errnoNodeDown, 0, 0)
+	}
+	if m.HasKey && !s.owns(m.Key) {
+		return encodeErr(errnoNotOwner, 0, 0)
 	}
 	s.counters.AddProbed()
 	st, _ := s.App().(*store.Store)

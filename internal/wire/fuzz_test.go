@@ -81,6 +81,11 @@ func FuzzDecodeProbeReq(f *testing.F) {
 		f.Fatal(err)
 	}
 	seedBuf(f, enc)
+	keyed, err := EncodeProbeReq(ProbeReq{Bit: 9, NumVecs: 512, Metrics: []uint64{1}, Key: 0xFEEDFACECAFEBEEF, HasKey: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedBuf(f, keyed)
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := DecodeProbeReq(buf)
 		if err != nil {
@@ -94,7 +99,8 @@ func FuzzDecodeProbeReq(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded probe request rejected: %v", err)
 		}
-		if m2.Bit != m.Bit || m2.NumVecs != m.NumVecs || len(m2.Metrics) != len(m.Metrics) {
+		if m2.Bit != m.Bit || m2.NumVecs != m.NumVecs || len(m2.Metrics) != len(m.Metrics) ||
+			m2.HasKey != m.HasKey || m2.Key != m.Key {
 			t.Fatalf("probe request not a fixpoint: %+v != %+v", m2, m)
 		}
 		for i := range m.Metrics {

@@ -180,20 +180,33 @@ type ProbeReq struct {
 	Bit     uint8
 	NumVecs uint16
 	Metrics []uint64
+	// Key, when HasKey is set, is the ring key the querier believes the
+	// responder owns: a client that probes a cached owner directly, with
+	// no lookup, sends it so the responder can refuse a key outside its
+	// arc instead of answering for a range it no longer holds. It travels
+	// as an optional 8-byte suffix; requests without it are answered
+	// unconditionally, as before the field existed.
+	Key    uint64
+	HasKey bool
 }
 
 // EncodeProbeReq serializes a probe request: version, tag, bit, vector
-// count, metric count, then 2 bytes per folded metric. A single-metric
-// request is 9 bytes — within the core.ProbeReqBytes=16 budget of the
-// cost model. More than 65535 metrics do not fit the count field and
-// return ErrBadMessage: the pre-check replaces a silent uint16 wrap
-// that would encode 65536 metrics as a valid-looking zero-metric
-// request.
+// count, metric count, then 2 bytes per folded metric, then the 8-byte
+// key when HasKey is set. A keyless single-metric request is 9 bytes —
+// within the core.ProbeReqBytes=16 budget of the cost model. More than
+// 65535 metrics do not fit the count field and return ErrBadMessage:
+// the pre-check replaces a silent uint16 wrap that would encode 65536
+// metrics as a valid-looking zero-metric request.
 func EncodeProbeReq(m ProbeReq) ([]byte, error) {
 	if len(m.Metrics) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d probe metrics exceed the uint16 count field", ErrBadMessage, len(m.Metrics))
 	}
-	buf := make([]byte, 7+2*len(m.Metrics))
+	n := 7 + 2*len(m.Metrics)
+	size := n
+	if m.HasKey {
+		size += 8
+	}
+	buf := make([]byte, size)
 	buf[0] = Version
 	buf[1] = TagProbeReq
 	buf[2] = m.Bit
@@ -202,10 +215,15 @@ func EncodeProbeReq(m ProbeReq) ([]byte, error) {
 	for i, metric := range m.Metrics {
 		binary.BigEndian.PutUint16(buf[7+2*i:], FoldMetric(metric))
 	}
+	if m.HasKey {
+		binary.BigEndian.PutUint64(buf[n:], m.Key)
+	}
 	return buf, nil
 }
 
-// DecodeProbeReq parses a probe request; Metrics holds folded IDs.
+// DecodeProbeReq parses a probe request; Metrics holds folded IDs. The
+// key suffix is read when at least 8 bytes follow the metric list;
+// shorter trailing bytes are ignored, as they always were.
 func DecodeProbeReq(buf []byte) (ProbeReq, error) {
 	if len(buf) < 7 {
 		return ProbeReq{}, ErrShort
@@ -220,6 +238,9 @@ func DecodeProbeReq(buf []byte) (ProbeReq, error) {
 	m := ProbeReq{Bit: buf[2], NumVecs: binary.BigEndian.Uint16(buf[3:])}
 	for i := 0; i < n; i++ {
 		m.Metrics = append(m.Metrics, uint64(binary.BigEndian.Uint16(buf[7+2*i:])))
+	}
+	if rest := buf[7+2*n:]; len(rest) >= 8 {
+		m.Key, m.HasKey = binary.BigEndian.Uint64(rest), true
 	}
 	return m, nil
 }

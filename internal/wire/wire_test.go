@@ -77,7 +77,7 @@ func TestProbeReqRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Bit != 9 || dec.NumVecs != 512 || len(dec.Metrics) != 3 {
+	if dec.Bit != 9 || dec.NumVecs != 512 || len(dec.Metrics) != 3 || dec.HasKey {
 		t.Errorf("decoded %+v", dec)
 	}
 	for i, metric := range m.Metrics {
@@ -85,10 +85,32 @@ func TestProbeReqRoundTrip(t *testing.T) {
 			t.Errorf("metric %d not folded consistently", i)
 		}
 	}
+
+	// The optional key suffix, with a key of 0 to show presence is not
+	// inferred from the value.
+	for _, key := range []uint64{0, 0xFEEDFACECAFEBEEF} {
+		m.Key, m.HasKey = key, true
+		enc, err := EncodeProbeReq(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(enc) != 7+2*len(m.Metrics)+8 {
+			t.Errorf("keyed request is %d bytes", len(enc))
+		}
+		dec, err := DecodeProbeReq(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dec.HasKey || dec.Key != key || dec.Bit != 9 || len(dec.Metrics) != 3 {
+			t.Errorf("keyed round trip: decoded %+v", dec)
+		}
+	}
 }
 
 func TestProbeReqSizeMatchesCostModel(t *testing.T) {
 	// A single-metric probe request must fit the model's ProbeReqBytes.
+	// The model prices the keyless form: the simulated scan always
+	// routes before it probes.
 	enc, err := EncodeProbeReq(ProbeReq{Bit: 1, Metrics: []uint64{42}})
 	if err != nil {
 		t.Fatal(err)
