@@ -40,19 +40,21 @@ smoke:
 	./scripts/smoke.sh
 
 # bench runs the benchmark suite (root macro-benchmarks, the
-# internal/store probe-reply micro-benchmarks, the internal/netdht
-# client counting pass on 1-, 5- and 16-node loopback rings, and the
-# internal/serve sustained-throughput serving benchmarks — qps/p50/p99
-# against a real loopback ring) and converts the text output into
-# machine-readable JSON via cmd/benchjson, so a run can be committed as
-# a perf-trajectory point:
+# internal/store probe-reply micro-benchmarks, the internal/wire probe
+# encode/decode benchmarks, the internal/netdht client counting pass on
+# 1-, 5- and 16-node loopback rings, and the internal/serve sustained-
+# throughput serving benchmarks — qps/p50/p99 against a real loopback
+# ring) and converts the text output into machine-readable JSON via
+# cmd/benchjson, which records the protocol (benchtime, GOMAXPROCS, Go
+# version) beside the numbers, so a run can be committed as a
+# perf-trajectory point:
 #
 #   make bench BENCHTIME=2s BENCHJSON=BENCH_6.json
-BENCHTIME ?= 1x
+BENCHTIME ?= 1s
 BENCHTXT  ?= bench.out
 BENCHJSON ?= bench.json
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/store ./internal/netdht ./internal/serve | tee $(BENCHTXT)
-	$(GO) run ./cmd/benchjson < $(BENCHTXT) > $(BENCHJSON)
+	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/store ./internal/wire ./internal/netdht ./internal/serve | tee $(BENCHTXT)
+	$(GO) run ./cmd/benchjson -benchtime=$(BENCHTIME) < $(BENCHTXT) > $(BENCHJSON)
 	@echo "wrote $(BENCHJSON)"

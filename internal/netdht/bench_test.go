@@ -16,7 +16,8 @@ import (
 // iteration — empty owner cache, no pooled sockets — so each pass
 // routes to every owner it meets and dials it; the warm variant reuses
 // one client, the serving shape. find_succ/op and probes/op are the
-// client's RPCs per pass.
+// client's RPCs per pass; bytes/op is the payload it sends and receives
+// per pass, both directions summed.
 func BenchmarkClientCount(b *testing.B) {
 	for _, nodes := range []int{1, 5, 16} {
 		for _, warm := range []bool{false, true} {
@@ -60,12 +61,13 @@ func benchClientCount(b *testing.B, nodes int, warm bool) {
 	// Every client registers the same series in cfg.Metrics, so these
 	// counters sum over all of them.
 	lookups, probes := c.peers.m.rpcTotal[slotFindSucc], c.peers.m.rpcTotal[slotProbe]
+	bytesMoved := func() uint64 { return c.peers.m.bytesOut.Value() + c.peers.m.bytesIn.Value() }
 	if warm {
 		if _, err := c.Count(7); err != nil {
 			b.Fatal(err)
 		}
 	}
-	lookups0, probes0 := lookups.Value(), probes.Value()
+	lookups0, probes0, bytes0 := lookups.Value(), probes.Value(), bytesMoved()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -80,4 +82,5 @@ func benchClientCount(b *testing.B, nodes int, warm bool) {
 	b.StopTimer()
 	b.ReportMetric(float64(lookups.Value()-lookups0)/float64(b.N), "find_succ/op")
 	b.ReportMetric(float64(probes.Value()-probes0)/float64(b.N), "probes/op")
+	b.ReportMetric(float64(bytesMoved()-bytes0)/float64(b.N), "bytes/op")
 }

@@ -106,7 +106,11 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // Count keeps one owner cache per Client, shared by every concurrent
 // call: the arcs owners report in find-successor replies, so an
 // attempt whose target falls in a known arc probes that owner directly
-// instead of routing first (see ownerCache).
+// instead of routing first (see ownerCache). Each probe asks its owner
+// for every bit, from the probed one onward in scan order, whose
+// interval meets the owner's arc, so one exchange answers all the
+// intervals an owner holds; the extra masks live only until the Count
+// call that asked for them returns.
 type Client struct {
 	cfg    ClientConfig
 	maxBit uint
@@ -255,45 +259,90 @@ func (r *CountResult) finish() {
 	r.Degraded = r.ProbesFailed > 0 || r.IntervalsSkipped > 0
 }
 
-// probe asks the node at addr for metric's vector mask at bit. A keyed
-// probe (hasKey) carries the target key, and the node refuses it when
-// the key lies outside its arc; it is sent once, with no retries,
-// because its caller falls back to routing on any failure.
-func (c *Client) probe(addr string, bit uint, metric, key uint64, hasKey bool) ([]byte, error) {
-	req, err := wire.EncodeProbeReq(wire.ProbeReq{
-		Bit:     uint8(bit),
-		NumVecs: uint16(c.cfg.M),
-		Metrics: []uint64{metric},
-		Key:     key,
-		HasKey:  hasKey,
-	})
+// scanNext returns the bit the counting scan visits after bit: one
+// lower for the LogLog family, one higher for PCSA. Either way the
+// result exceeds maxBit once the scan is past its last bit.
+func (c *Client) scanNext(bit uint) uint {
+	if c.cfg.Kind == sketch.KindPCSA {
+		return bit + 1
+	}
+	return bit - 1 // wraps past 0
+}
+
+// through returns the last bit of the span a probe of the arc's owner
+// at bit asks for: the contiguous run of bits, stepping from bit in
+// scan order, whose intervals meet the arc. It is bit itself when the
+// next interval lies outside the arc.
+func (c *Client) through(bit uint, arc ownerArc) uint {
+	for next := c.scanNext(bit); next <= c.maxBit; next = c.scanNext(next) {
+		if lo, size := hashutil.Interval(64, c.cfg.K, next); !arc.meets(lo, size) {
+			break
+		}
+		bit = next
+	}
+	return bit
+}
+
+// probe asks the node at addr for metric's vector masks at every bit
+// from bit through `through` — a single-bit probe is a span of one. A
+// keyed probe (hasKey) carries the target key, and the node refuses it
+// when the key lies outside its arc; it is sent once, with no retries,
+// because its caller falls back to routing on any failure. The reply
+// holds one mask per bit of the span, in scan order, with the
+// responder's arc in Pred, or a single mask for bit when the responder
+// predates spans.
+func (c *Client) probe(addr string, bit, through uint, metric, key uint64, hasKey bool) (wire.ProbeResp, error) {
+	req := wire.ProbeReq{
+		Bit:        uint8(bit),
+		NumVecs:    uint16(c.cfg.M),
+		Metrics:    []uint64{metric},
+		Key:        key,
+		HasKey:     hasKey,
+		Through:    uint8(through),
+		HasThrough: through != bit,
+	}
+	enc, err := wire.EncodeProbeReq(req)
 	if err != nil {
-		return nil, err // static geometry can't overflow; defensive
+		return wire.ProbeResp{}, err // static geometry can't overflow; defensive
 	}
 	var raw []byte
 	if hasKey {
-		raw, err = c.peers.exchange(addr, req)
+		raw, err = c.peers.exchange(addr, enc)
 	} else {
-		raw, err = c.peers.exchangeRetry(addr, req, c.cfg.Retries, c.cfg.Backoff)
+		raw, err = c.peers.exchangeRetry(addr, enc, c.cfg.Retries, c.cfg.Backoff)
 	}
 	if err != nil {
-		return nil, err
+		return wire.ProbeResp{}, err
 	}
 	if len(raw) >= 2 && raw[1] == tagErr {
 		code, _, _, derr := decodeErr(raw)
 		if derr != nil {
-			return nil, derr
+			return wire.ProbeResp{}, derr
 		}
-		return nil, errnoErr(code)
+		return wire.ProbeResp{}, errnoErr(code)
 	}
 	resp, err := wire.DecodeProbeResp(raw)
 	if err != nil {
-		return nil, err
+		return wire.ProbeResp{}, err
 	}
-	if len(resp.VecMasks) != 1 || int(resp.NumVecs) != c.cfg.M {
-		return nil, fmt.Errorf("%w: probe reply shape", wire.ErrBadMessage)
+	if n := len(resp.VecMasks); n != 1 && n != req.Span() || int(resp.NumVecs) != c.cfg.M {
+		return wire.ProbeResp{}, fmt.Errorf("%w: probe reply shape", wire.ErrBadMessage)
 	}
-	return resp.VecMasks[0], nil
+	return resp, nil
+}
+
+// keptKey names a mask a span probe returned beyond the bit it was
+// sent for: owner's answer for bit.
+type keptKey struct {
+	owner uint64
+	bit   uint
+}
+
+// keptMask is such a mask with the arc its owner reported holding when
+// it answered: the mask stands for exactly the keys of that arc.
+type keptMask struct {
+	arc  ownerArc
+	mask []byte
 }
 
 // Count runs the Algorithm-1 counting scan for metric over RPC:
@@ -314,6 +363,14 @@ func (c *Client) probe(addr string, bit uint, metric, key uint64, hasKey bool) (
 // reached, the attempt releases the claim, drops the arc and routes
 // the same target as an uncached attempt does, so a stale arc costs one
 // extra exchange but no budget and no probe failure.
+//
+// Every probe asks its owner for a span: the bits, in scan order, whose
+// intervals meet the owner's arc as the cache or the lookup reported
+// it. The masks beyond the first are kept for the rest of this call
+// with the arc the owner reported in its reply; a later attempt that
+// claims the same owner for one of those bits, with its target in that
+// arc, takes the kept mask instead of sending a probe. The claim, and
+// so the accounting, is the same either way.
 func (c *Client) Count(metric uint64) (CountResult, error) {
 	m := c.cfg.M
 	R := make([]int, m)
@@ -322,13 +379,15 @@ func (c *Client) Count(metric uint64) (CountResult, error) {
 	}
 	unresolved := m
 	var res CountResult
+	kept := make(map[keptKey]keptMask) // guarded by mu
 
 	// probeInterval probes bit's interval and invokes onMask for every
 	// successful probe's vector mask; it reports whether any probe
 	// succeeded. The interval's Lim attempts are independent uniform
 	// draws, so they run concurrently (bounded by ProbeParallel); mu
-	// serializes the shared accounting, the visited set, and every
-	// onMask invocation, so callers' closures see one probe at a time.
+	// serializes the shared accounting, the visited set, the kept
+	// masks, and every onMask invocation, so callers' closures see one
+	// probe at a time.
 	var mu sync.Mutex
 	probeInterval := func(bit uint, onMask func(mask []byte)) bool {
 		visited := make(map[uint64]bool)
@@ -345,11 +404,35 @@ func (c *Client) Count(metric uint64) (CountResult, error) {
 			visited[owner] = true
 			return true
 		}
-		deliver := func(mask []byte) {
+		// take delivers the mask an earlier span probe of owner kept for
+		// this bit, if target lies in the arc the owner reported then.
+		take := func(owner, target uint64) bool {
 			mu.Lock()
+			defer mu.Unlock()
+			km, ok := kept[keptKey{owner, bit}]
+			if !ok || !km.arc.contains(target) {
+				return false
+			}
 			anyOK = true
-			onMask(mask)
-			mu.Unlock()
+			onMask(km.mask)
+			return true
+		}
+		// deliver hands on the reply's mask for this bit and keeps the
+		// masks of the rest of its span, which follow in scan order.
+		deliver := func(owner nodeRef, resp wire.ProbeResp) {
+			mu.Lock()
+			defer mu.Unlock()
+			anyOK = true
+			onMask(resp.VecMasks[0])
+			if !resp.HasPred {
+				return
+			}
+			arc := ownerArc{pred: resp.Pred, owner: owner}
+			b := bit
+			for _, mask := range resp.VecMasks[1:] {
+				b = c.scanNext(b)
+				kept[keptKey{owner.id, b}] = keptMask{arc, mask}
+			}
 		}
 		fail := func() {
 			mu.Lock()
@@ -361,36 +444,39 @@ func (c *Client) Count(metric uint64) (CountResult, error) {
 			res.ProbesAttempted++
 			mu.Unlock()
 			target := c.randomTarget(bit)
-			if owner, ok := c.owners.lookup(target); ok {
-				if !claim(owner.id) {
+			if arc, ok := c.owners.lookup(target); ok {
+				if !claim(arc.owner.id) || take(arc.owner.id, target) {
 					return
 				}
-				if mask, err := c.probe(owner.addr, bit, metric, target, true); err == nil {
-					deliver(mask)
+				if resp, err := c.probe(arc.owner.addr, bit, c.through(bit, arc), metric, target, true); err == nil {
+					deliver(arc.owner, resp)
 					return
 				}
 				mu.Lock()
-				delete(visited, owner.id)
+				delete(visited, arc.owner.id)
 				mu.Unlock()
-				c.owners.drop(owner.id)
+				c.owners.drop(arc.owner.id)
 			}
 			resp, err := c.findOwner(target)
 			if err != nil {
 				fail()
 				return
 			}
+			through := bit
 			if resp.hasPred {
-				c.owners.learn(resp.pred, resp.owner)
+				arc := ownerArc{pred: resp.pred, owner: resp.owner}
+				c.owners.learn(arc.pred, arc.owner)
+				through = c.through(bit, arc)
 			}
-			if !claim(resp.owner.id) {
+			if !claim(resp.owner.id) || take(resp.owner.id, target) {
 				return
 			}
-			mask, err := c.probe(resp.owner.addr, bit, metric, 0, false)
+			presp, err := c.probe(resp.owner.addr, bit, through, metric, 0, false)
 			if err != nil {
 				fail()
 				return
 			}
-			deliver(mask)
+			deliver(resp.owner, presp)
 		}
 		par := c.cfg.ProbeParallel
 		if par > c.cfg.Lim {

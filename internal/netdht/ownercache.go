@@ -21,6 +21,13 @@ func (a ownerArc) overlaps(b ownerArc) bool {
 	return a.contains(b.owner.id) || b.contains(a.owner.id)
 }
 
+// meets reports whether the arc shares a key with the key interval
+// [lo, lo+size), size > 0: the interval is the ring arc
+// (lo-1, lo+size-1].
+func (a ownerArc) meets(lo, size uint64) bool {
+	return a.overlaps(ownerArc{pred: lo - 1, owner: nodeRef{id: lo + size - 1}})
+}
+
 // ownerCache maps ring keys to the owners that last reported holding
 // them, learned from the predecessor suffix of find-successor replies.
 // Arcs are kept sorted by owner id and pairwise disjoint: at most one
@@ -46,21 +53,21 @@ func (c *ownerCache) search(id uint64) (int, bool) {
 	})
 }
 
-// lookup returns the cached owner whose arc contains key.
-func (c *ownerCache) lookup(key uint64) (nodeRef, bool) {
+// lookup returns the cached arc containing key.
+func (c *ownerCache) lookup(key uint64) (ownerArc, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.arcs) == 0 {
-		return nodeRef{}, false
+		return ownerArc{}, false
 	}
 	i, _ := c.search(key)
 	if i == len(c.arcs) {
 		i = 0 // wrap: the key lies past the highest cached owner
 	}
 	if a := c.arcs[i]; a.contains(key) {
-		return a.owner, true
+		return a, true
 	}
-	return nodeRef{}, false
+	return ownerArc{}, false
 }
 
 // learn records that owner holds (pred, owner.id], replacing the

@@ -51,7 +51,7 @@ func TestOwnerCacheArcs(t *testing.T) {
 	}
 
 	c.learn(100, ref(100)) // whole ring
-	if o, ok := c.lookup(5); !ok || o.id != 100 {
+	if o, ok := c.lookup(5); !ok || o.owner.id != 100 {
 		t.Fatalf("whole-ring arc: lookup(5) = %v, %v", o, ok)
 	}
 
@@ -67,7 +67,7 @@ func TestOwnerCacheArcs(t *testing.T) {
 	for key, want := range map[uint64]uint64{
 		5: 100, 100: 100, 101: 200, 200: 200, 250: 300, 300: 300, 301: 100, ^uint64(0): 100,
 	} {
-		if o, ok := c.lookup(key); !ok || o.id != want {
+		if o, ok := c.lookup(key); !ok || o.owner.id != want {
 			t.Errorf("lookup(%d) = %v, %v; want owner %d", key, o, ok, want)
 		}
 	}
@@ -85,7 +85,7 @@ func TestOwnerCacheArcs(t *testing.T) {
 		t.Error("key of an evicted arc still resolves")
 	}
 	c.learn(250, ref(300))
-	if o, ok := c.lookup(280); !ok || o.id != 300 {
+	if o, ok := c.lookup(280); !ok || o.owner.id != 300 {
 		t.Errorf("lookup(280) after re-learning = %v, %v", o, ok)
 	}
 
@@ -151,8 +151,9 @@ func TestKeyedProbeValidation(t *testing.T) {
 // client's cold-cache and warm-cache passes marshal to the bytes the
 // route-every-attempt client produced for the same seeds. The RPC
 // counts follow from the same draws: a find_succ for each attempt whose
-// owner the client has not met yet, and one probe per distinct
-// (interval, owner) pair.
+// owner the client has not met yet, and one probe per (owner, span) —
+// a visit to an owner in an interval that no earlier span probe of
+// that owner in the same pass already answered.
 func TestCountByteIdentityWithOwnerCache(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -162,14 +163,18 @@ func TestCountByteIdentityWithOwnerCache(t *testing.T) {
 		// allCached: every owner the warm pass reaches was met in the
 		// cold pass, so the warm pass routes nothing.
 		allCached bool
+		// probes pins the replay's probe count for the cold and the
+		// warm pass (one per (interval, owner) before span probes: 15
+		// and 14 for sLL, 8 and 10 for PCSA).
+		probes [2]uint64
 	}{
 		{
-			name: "sLL-lim5", lim: 5, kind: sketch.KindSuperLogLog, allCached: true,
+			name: "sLL-lim5", lim: 5, kind: sketch.KindSuperLogLog, allCached: true, probes: [2]uint64{7, 6},
 			cold: `{"estimate":939.591590197958,"probes_attempted":50,"probes_failed":0,"intervals_skipped":0,"degraded":false}`,
 			warm: `{"estimate":939.591590197958,"probes_attempted":50,"probes_failed":0,"intervals_skipped":0,"degraded":false}`,
 		},
 		{
-			name: "PCSA-lim3", lim: 3, kind: sketch.KindPCSA,
+			name: "PCSA-lim3", lim: 3, kind: sketch.KindPCSA, probes: [2]uint64{6, 7},
 			cold: `{"estimate":443.3748576717115,"probes_attempted":15,"probes_failed":0,"intervals_skipped":0,"degraded":false}`,
 			warm: `{"estimate":463.00473965405445,"probes_attempted":15,"probes_failed":0,"intervals_skipped":0,"degraded":false}`,
 		},
@@ -208,6 +213,19 @@ func TestCountByteIdentityWithOwnerCache(t *testing.T) {
 			}
 			defer c.Close()
 
+			owner := func(key uint64) uint64 {
+				o, err := cl.Owner(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return o.ID()
+			}
+			// ownerMeets: o's arc shares a key with bit's interval — it
+			// owns either end of the interval or lies inside it.
+			ownerMeets := func(o uint64, bit uint) bool {
+				lo, size := hashutil.Interval(64, cfg.K, bit)
+				return owner(lo) == o || owner(lo+size-1) == o || o-lo < size
+			}
 			met := make(map[uint64]bool)
 			for pass, want := range []string{tc.cold, tc.warm} {
 				fs0 := c.peers.m.rpcTotal[slotFindSucc].Value()
@@ -225,24 +243,33 @@ func TestCountByteIdentityWithOwnerCache(t *testing.T) {
 				}
 
 				var wantLookups, wantProbes uint64
-				for i := 0; i < res.ProbesAttempted/tc.lim; i++ {
-					bit := uint(i)
-					if tc.kind != sketch.KindPCSA {
-						bit = twin.maxBit - uint(i)
-					}
+				// spanned[{o, bit}]: a span probe of o earlier in this
+				// pass answered bit.
+				spanned := make(map[keptKey]bool)
+				intervals := res.ProbesAttempted / tc.lim
+				for i := 0; i < intervals; i++ {
+					bit := scanBit(tc.kind, twin.maxBit, i)
 					visited := make(map[uint64]bool)
 					for a := 0; a < tc.lim; a++ {
-						o, err := cl.Owner(twin.randomTarget(bit))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !met[o.ID()] {
-							met[o.ID()] = true
+						o := owner(twin.randomTarget(bit))
+						if !met[o] {
+							met[o] = true
 							wantLookups++
 						}
-						if !visited[o.ID()] {
-							visited[o.ID()] = true
-							wantProbes++
+						if visited[o] {
+							continue
+						}
+						visited[o] = true
+						if spanned[keptKey{o, bit}] {
+							continue
+						}
+						wantProbes++
+						for j := i + 1; j <= int(twin.maxBit); j++ {
+							b := scanBit(tc.kind, twin.maxBit, j)
+							if !ownerMeets(o, b) {
+								break
+							}
+							spanned[keptKey{o, b}] = true
 						}
 					}
 				}
@@ -251,6 +278,9 @@ func TestCountByteIdentityWithOwnerCache(t *testing.T) {
 				if lookups != wantLookups || probes != wantProbes {
 					t.Errorf("pass %d: %d find_succ and %d probes, want %d and %d",
 						pass, lookups, probes, wantLookups, wantProbes)
+				}
+				if wantProbes != tc.probes[pass] {
+					t.Errorf("pass %d: replay expects %d probes, pinned %d", pass, wantProbes, tc.probes[pass])
 				}
 				if pass == 1 && tc.allCached && lookups != 0 {
 					t.Errorf("warm pass sent %d find_succ with every owner cached", lookups)
@@ -261,6 +291,15 @@ func TestCountByteIdentityWithOwnerCache(t *testing.T) {
 			}
 		})
 	}
+}
+
+// scanBit is the i-th bit the counting scan visits: ascending for
+// PCSA, descending from maxBit for the LogLog family.
+func scanBit(kind sketch.Kind, maxBit uint, i int) uint {
+	if kind == sketch.KindPCSA {
+		return uint(i)
+	}
+	return maxBit - uint(i)
 }
 
 // TestCountAfterCachedOwnerCrash: once the ring has repaired a crashed

@@ -555,26 +555,40 @@ func (s *Server) handleProbeReq(req []byte) []byte {
 	st, _ := s.App().(*store.Store)
 	now := s.nowFn()
 	maskLen := wire.MaskBytes(int(m.NumVecs))
-	// NumVecs and the metric list are peer-controlled: a 12-byte request
-	// claiming 65535 vectors across 65535 metrics would demand ~512 MiB
-	// of mask allocations. Refuse any request whose reply could not fit
-	// one frame before allocating for it (wirebounds invariant).
-	if 8+len(m.Metrics)*maskLen > maxFrame {
+	span := m.Span()
+	// NumVecs, the metric list and the span are peer-controlled: a
+	// 12-byte request claiming 65535 vectors across 65535 metrics would
+	// demand ~512 MiB of mask allocations, and a span multiplies that.
+	// Refuse any request whose reply could not fit one frame, or whose
+	// mask count overflows the reply's uint16 count field (zero-width
+	// masks would otherwise still cost a slice header each), before
+	// allocating for it (wirebounds invariant).
+	if span*len(m.Metrics) > math.MaxUint16 || 16+span*len(m.Metrics)*maskLen > maxFrame {
 		return encodeErr(errnoBad, 0, 0)
 	}
-	masks := make([][]byte, len(m.Metrics))
-	for i, metric := range m.Metrics {
-		mask := make([]byte, maskLen)
-		if st != nil {
-			for _, v := range st.VectorsWithBit(metric, m.Bit, now) {
-				if v >= 0 && int(v) < int(m.NumVecs) {
-					wire.SetVec(mask, int(v))
+	masks := make([][]byte, 0, span*len(m.Metrics))
+	backing := make([]byte, span*len(m.Metrics)*maskLen)
+	var words []uint64
+	for i := 0; i < span; i++ {
+		bit := m.SpanBit(i)
+		for _, metric := range m.Metrics {
+			mask := backing[len(masks)*maskLen : (len(masks)+1)*maskLen]
+			words = st.AppendBitsWithBit(words, metric, bit, now) // a nil store reads as empty
+			for wi, w := range words {
+				for ; w != 0; w &= w - 1 {
+					if v := wi<<6 + bits.TrailingZeros64(w); v < int(m.NumVecs) {
+						wire.SetVec(mask, v)
+					}
 				}
 			}
+			masks = append(masks, mask)
 		}
-		masks[i] = mask
 	}
-	resp, err := wire.EncodeProbeResp(wire.ProbeResp{Bit: m.Bit, NumVecs: m.NumVecs, VecMasks: masks})
+	out := wire.ProbeResp{Bit: m.Bit, NumVecs: m.NumVecs, VecMasks: masks}
+	if m.HasThrough {
+		out.Pred, out.HasPred = s.arc()
+	}
+	resp, err := wire.EncodeProbeResp(out)
 	if err != nil {
 		return encodeErr(errnoBad, 0, 0)
 	}

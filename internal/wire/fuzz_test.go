@@ -86,6 +86,16 @@ func FuzzDecodeProbeReq(f *testing.F) {
 		f.Fatal(err)
 	}
 	seedBuf(f, keyed)
+	for _, span := range []ProbeReq{
+		{Bit: 10, NumVecs: 64, Metrics: []uint64{1}, Through: 0, HasThrough: true},
+		{Bit: 2, NumVecs: 64, Metrics: []uint64{1, 2}, Key: 0xFEEDFACECAFEBEEF, HasKey: true, Through: 7, HasThrough: true},
+	} {
+		enc, err := EncodeProbeReq(span)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seedBuf(f, enc)
+	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := DecodeProbeReq(buf)
 		if err != nil {
@@ -100,7 +110,7 @@ func FuzzDecodeProbeReq(f *testing.F) {
 			t.Fatalf("re-encoded probe request rejected: %v", err)
 		}
 		if m2.Bit != m.Bit || m2.NumVecs != m.NumVecs || len(m2.Metrics) != len(m.Metrics) ||
-			m2.HasKey != m.HasKey || m2.Key != m.Key {
+			m2.HasKey != m.HasKey || m2.Key != m.Key || m2.HasThrough != m.HasThrough || m2.Through != m.Through {
 			t.Fatalf("probe request not a fixpoint: %+v != %+v", m2, m)
 		}
 		for i := range m.Metrics {
@@ -120,6 +130,12 @@ func FuzzDecodeProbeResp(f *testing.F) {
 		f.Fatal(err)
 	}
 	seedBuf(f, enc)
+	span, err := EncodeProbeResp(ProbeResp{Bit: 10, NumVecs: 64, VecMasks: [][]byte{make([]byte, 8), make([]byte, 8)},
+		Pred: 0xFEEDFACECAFEBEEF, HasPred: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedBuf(f, span)
 	// A declared mask count far beyond the actual buffer.
 	f.Add([]byte{Version, TagProbeResp, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0})
 	f.Fuzz(func(t *testing.T, buf []byte) {
@@ -140,7 +156,8 @@ func FuzzDecodeProbeResp(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded probe reply rejected: %v", err)
 		}
-		if m2.Bit != m.Bit || m2.NumVecs != m.NumVecs || len(m2.VecMasks) != len(m.VecMasks) {
+		if m2.Bit != m.Bit || m2.NumVecs != m.NumVecs || len(m2.VecMasks) != len(m.VecMasks) ||
+			m2.HasPred != m.HasPred || m2.Pred != m.Pred {
 			t.Fatalf("probe reply not a fixpoint: %+v != %+v", m2, m)
 		}
 		for i := range m.VecMasks {

@@ -188,11 +188,41 @@ type ProbeReq struct {
 	// unconditionally, as before the field existed.
 	Key    uint64
 	HasKey bool
+	// Through, when HasThrough is set, widens the probe to a span of
+	// bits: the responder answers Bit's masks first, then those of each
+	// bit stepping from Bit toward Through, inclusive, and reports its
+	// arc in the reply (ProbeResp.Pred). It travels as an optional 1-byte
+	// suffix after the key; a responder that predates it answers Bit
+	// alone.
+	Through    uint8
+	HasThrough bool
+}
+
+// Span returns the number of bits the request asks for: 1 plus the
+// distance from Bit to Through, or 1 without a Through.
+func (m ProbeReq) Span() int {
+	if !m.HasThrough {
+		return 1
+	}
+	if m.Through >= m.Bit {
+		return 1 + int(m.Through-m.Bit)
+	}
+	return 1 + int(m.Bit-m.Through)
+}
+
+// SpanBit returns the i-th bit of the request's span, stepping from Bit
+// toward Through; i must be below Span().
+func (m ProbeReq) SpanBit(i int) uint8 {
+	if m.HasThrough && m.Through < m.Bit {
+		return m.Bit - uint8(i)
+	}
+	return m.Bit + uint8(i)
 }
 
 // EncodeProbeReq serializes a probe request: version, tag, bit, vector
 // count, metric count, then 2 bytes per folded metric, then the 8-byte
-// key when HasKey is set. A keyless single-metric request is 9 bytes —
+// key when HasKey is set, then the 1-byte through bit when HasThrough
+// is set. A keyless single-bit single-metric request is 9 bytes —
 // within the core.ProbeReqBytes=16 budget of the cost model. More than
 // 65535 metrics do not fit the count field and return ErrBadMessage:
 // the pre-check replaces a silent uint16 wrap that would encode 65536
@@ -206,6 +236,9 @@ func EncodeProbeReq(m ProbeReq) ([]byte, error) {
 	if m.HasKey {
 		size += 8
 	}
+	if m.HasThrough {
+		size++
+	}
 	buf := make([]byte, size)
 	buf[0] = Version
 	buf[1] = TagProbeReq
@@ -218,12 +251,16 @@ func EncodeProbeReq(m ProbeReq) ([]byte, error) {
 	if m.HasKey {
 		binary.BigEndian.PutUint64(buf[n:], m.Key)
 	}
+	if m.HasThrough {
+		buf[size-1] = m.Through
+	}
 	return buf, nil
 }
 
 // DecodeProbeReq parses a probe request; Metrics holds folded IDs. The
-// key suffix is read when at least 8 bytes follow the metric list;
-// shorter trailing bytes are ignored, as they always were.
+// bytes after the metric list select the optional suffixes by their
+// count: 1 is a through bit, 8 a key, 9 or more a key then a through
+// bit. Other trailing bytes are ignored, as they always were.
 func DecodeProbeReq(buf []byte) (ProbeReq, error) {
 	if len(buf) < 7 {
 		return ProbeReq{}, ErrShort
@@ -239,18 +276,32 @@ func DecodeProbeReq(buf []byte) (ProbeReq, error) {
 	for i := 0; i < n; i++ {
 		m.Metrics = append(m.Metrics, uint64(binary.BigEndian.Uint16(buf[7+2*i:])))
 	}
-	if rest := buf[7+2*n:]; len(rest) >= 8 {
+	switch rest := buf[7+2*n:]; {
+	case len(rest) == 1:
+		m.Through, m.HasThrough = rest[0], true
+	case len(rest) >= 9:
+		m.Through, m.HasThrough = rest[8], true
+		fallthrough
+	case len(rest) == 8:
 		m.Key, m.HasKey = binary.BigEndian.Uint64(rest), true
 	}
 	return m, nil
 }
 
-// ProbeResp answers a probe: per requested metric, a bitmask over the m
-// bitmap vectors marking which have the bit set at this node.
+// ProbeResp answers a probe: per requested bit and metric, a bitmask
+// over the m bitmap vectors marking which have the bit set at this
+// node. A span reply lists the span's bits in request order, each with
+// one mask per metric, and carries the responder's arc lower end.
 type ProbeResp struct {
 	Bit      uint8
 	NumVecs  uint16   // m, fixing the per-metric mask width
-	VecMasks [][]byte // one ⌈m/8⌉-byte mask per requested metric
+	VecMasks [][]byte // one ⌈m/8⌉-byte mask per requested (bit, metric)
+	// Pred, when HasPred is set, is the lower end of the ring arc
+	// (Pred, responder] the responder held when it answered. It travels
+	// as an optional 8-byte suffix after the masks; a reply without it
+	// decodes as before the field existed.
+	Pred    uint64
+	HasPred bool
 }
 
 // MaskBytes returns the size of one vector mask: ⌈m/8⌉.
@@ -258,15 +309,20 @@ func MaskBytes(numVecs int) int { return (numVecs + 7) / 8 }
 
 // EncodeProbeResp serializes a probe reply: an 8-byte header plus one
 // mask per metric — exactly the core cost model's
-// MsgHeaderBytes + metrics×⌈m/8⌉ accounting. More than 65535 masks do
-// not fit the count field and return ErrBadMessage (a silent wrap
-// would decode as a reply for a different number of metrics).
+// MsgHeaderBytes + metrics×⌈m/8⌉ accounting — then the 8-byte pred when
+// HasPred is set. More than 65535 masks do not fit the count field and
+// return ErrBadMessage (a silent wrap would decode as a reply for a
+// different number of metrics).
 func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 	if len(m.VecMasks) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d vector masks exceed the uint16 count field", ErrBadMessage, len(m.VecMasks))
 	}
 	mask := MaskBytes(int(m.NumVecs))
-	buf := make([]byte, 8, 8+len(m.VecMasks)*mask)
+	size := 8 + len(m.VecMasks)*mask
+	if m.HasPred {
+		size += 8
+	}
+	buf := make([]byte, 8, size)
 	buf[0] = Version
 	buf[1] = TagProbeResp
 	buf[2] = m.Bit
@@ -279,10 +335,14 @@ func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 		}
 		buf = append(buf, vm...)
 	}
+	if m.HasPred {
+		buf = binary.BigEndian.AppendUint64(buf, m.Pred)
+	}
 	return buf, nil
 }
 
-// DecodeProbeResp parses a probe reply.
+// DecodeProbeResp parses a probe reply. The pred suffix is read when at
+// least 8 bytes follow the masks; shorter trailing bytes are ignored.
 func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	if len(buf) < 8 {
 		return ProbeResp{}, ErrShort
@@ -299,10 +359,17 @@ func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	if len(buf) < 8+count*mask {
 		return ProbeResp{}, ErrShort
 	}
-	for i := 0; i < count; i++ {
-		vm := make([]byte, mask)
-		copy(vm, buf[8+i*mask:])
-		m.VecMasks = append(m.VecMasks, vm)
+	// One copy of every mask, sliced per mask with its capacity capped,
+	// so the reply does not alias buf and no mask can grow into the next.
+	masks := append([]byte(nil), buf[8:8+count*mask]...)
+	if count > 0 {
+		m.VecMasks = make([][]byte, count)
+	}
+	for i := range m.VecMasks {
+		m.VecMasks[i] = masks[i*mask : (i+1)*mask : (i+1)*mask]
+	}
+	if rest := buf[8+count*mask:]; len(rest) >= 8 {
+		m.Pred, m.HasPred = binary.BigEndian.Uint64(rest), true
 	}
 	return m, nil
 }

@@ -107,6 +107,81 @@ func TestProbeReqRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProbeReqSpanRoundTrip: the through suffix round-trips with and
+// without the key, its presence is not inferred from its value, and
+// the span steps from Bit toward Through in either direction.
+func TestProbeReqSpanRoundTrip(t *testing.T) {
+	for _, hasKey := range []bool{false, true} {
+		for _, c := range []struct {
+			bit, through uint8
+			hasThrough   bool
+			span         int
+			bits         []uint8
+		}{
+			{bit: 9, span: 1, bits: []uint8{9}},
+			{bit: 9, through: 0, hasThrough: true, span: 10, bits: []uint8{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}},
+			{bit: 3, through: 6, hasThrough: true, span: 4, bits: []uint8{3, 4, 5, 6}},
+			{bit: 5, through: 5, hasThrough: true, span: 1, bits: []uint8{5}},
+		} {
+			m := ProbeReq{Bit: c.bit, NumVecs: 64, Metrics: []uint64{1, 2},
+				Key: 0xFEEDFACECAFEBEEF, HasKey: hasKey, Through: c.through, HasThrough: c.hasThrough}
+			enc, err := EncodeProbeReq(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 7 + 2*len(m.Metrics)
+			if hasKey {
+				want += 8
+			}
+			if c.hasThrough {
+				want++
+			}
+			if len(enc) != want {
+				t.Errorf("%+v: encoded %d bytes, want %d", m, len(enc), want)
+			}
+			dec, err := DecodeProbeReq(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Bit != c.bit || dec.HasKey != hasKey || hasKey && dec.Key != m.Key ||
+				dec.HasThrough != c.hasThrough || dec.Through != c.through || len(dec.Metrics) != 2 {
+				t.Errorf("round trip of %+v decoded %+v", m, dec)
+			}
+			if dec.Span() != c.span {
+				t.Errorf("%+v: span %d, want %d", dec, dec.Span(), c.span)
+			}
+			for i, b := range c.bits {
+				if got := dec.SpanBit(i); got != b {
+					t.Errorf("%+v: span bit %d is %d, want %d", dec, i, got, b)
+				}
+			}
+		}
+	}
+}
+
+// TestProbeReqOldLayouts: requests written before the optional suffixes
+// existed — the keyless form and the keyed form — decode to the same
+// fields, with no span.
+func TestProbeReqOldLayouts(t *testing.T) {
+	keyless := []byte{Version, TagProbeReq, 4, 0, 64, 0, 1, 0, 7}
+	dec, err := DecodeProbeReq(keyless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Bit != 4 || dec.NumVecs != 64 || len(dec.Metrics) != 1 || dec.Metrics[0] != 7 ||
+		dec.HasKey || dec.HasThrough || dec.Span() != 1 {
+		t.Errorf("keyless layout decoded %+v", dec)
+	}
+	keyed := append(append([]byte(nil), keyless...), 1, 2, 3, 4, 5, 6, 7, 8)
+	dec, err = DecodeProbeReq(keyed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.HasKey || dec.Key != 0x0102030405060708 || dec.HasThrough || dec.Span() != 1 {
+		t.Errorf("keyed layout decoded %+v", dec)
+	}
+}
+
 func TestProbeReqSizeMatchesCostModel(t *testing.T) {
 	// A single-metric probe request must fit the model's ProbeReqBytes.
 	// The model prices the keyless form: the simulated scan always
@@ -229,6 +304,45 @@ func TestProbeRespRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(dec.VecMasks[0], mask1) {
 		t.Error("mask bytes not preserved")
+	}
+}
+
+// TestProbeRespPredRoundTrip: the pred suffix round-trips, its
+// presence is not inferred from its value, and a reply without it — the
+// layout before the field existed — decodes with HasPred unset, as does
+// one with fewer than 8 trailing bytes.
+func TestProbeRespPredRoundTrip(t *testing.T) {
+	mask := make([]byte, MaskBytes(64))
+	SetVec(mask, 5)
+	for _, pred := range []uint64{0, 0xFEEDFACECAFEBEEF} {
+		resp := ProbeResp{Bit: 3, NumVecs: 64, VecMasks: [][]byte{mask, mask, mask}, Pred: pred, HasPred: true}
+		enc, err := EncodeProbeResp(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(enc) != 8+3*MaskBytes(64)+8 {
+			t.Errorf("reply with pred is %d bytes", len(enc))
+		}
+		dec, err := DecodeProbeResp(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dec.HasPred || dec.Pred != pred || len(dec.VecMasks) != 3 || !HasVec(dec.VecMasks[2], 5) {
+			t.Errorf("round trip of pred %x decoded %+v", pred, dec)
+		}
+	}
+	enc, err := EncodeProbeResp(ProbeResp{Bit: 3, NumVecs: 64, VecMasks: [][]byte{mask}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, buf := range [][]byte{enc, append(enc, 1, 2, 3, 4, 5, 6, 7)} {
+		dec, err := DecodeProbeResp(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.HasPred || len(dec.VecMasks) != 1 {
+			t.Errorf("%d-byte reply without pred decoded %+v", len(buf), dec)
+		}
 	}
 }
 
